@@ -43,7 +43,7 @@ exception Stop
 let is_noop m = function
   | Machine.Step t -> (
       match Machine.pending_class m t with
-      | Some Machine.C_free -> true
+      | Machine.C_free -> true
       | _ -> false)
   | Machine.Drain _ | Machine.Flush _ -> false
 

@@ -163,24 +163,22 @@ let thread_done t tid =
 
 let status_done = function Program.Done -> true | Program.Paused _ -> false
 
-let all_done t =
-  let rec go i =
-    i >= t.n_threads || (status_done t.threads.(i).status && go (i + 1))
-  in
-  go 0
+(* Top-level scans (a local [let rec] would allocate a closure per call;
+   [quiescent] runs once per timed event). *)
+let rec done_from t i =
+  i >= t.n_threads || (status_done t.threads.(i).status && done_from t (i + 1))
 
+let all_done t = done_from t 0
 let buffered_stores t tid = Store_buffer.pending (thread t tid).buf
 let buffered_entries t tid = Store_buffer.to_list (thread t tid).buf
 
-let quiescent t =
-  let rec go i =
-    i >= t.n_threads
-    || (status_done t.threads.(i).status
-        && Store_buffer.is_empty t.threads.(i).buf
-        && go (i + 1))
-  in
-  go 0
+let rec quiescent_from t i =
+  i >= t.n_threads
+  || status_done t.threads.(i).status
+     && Store_buffer.is_empty t.threads.(i).buf
+     && quiescent_from t (i + 1)
 
+let quiescent t = quiescent_from t 0
 let steps t = t.steps
 
 let request_enabled th (type a) (req : a Program.request) =
@@ -226,7 +224,7 @@ let enabled_iter t f =
           (Store_buffer.drain_lanes th.buf));
     match th.status with
     | Program.Done -> ()
-    | Program.Paused (Program.Paused_at (req, _)) ->
+    | Program.Paused (req, _) ->
         if request_enabled th req then f th.step_tr
   done
 
@@ -276,7 +274,7 @@ let enabled_into t b =
           (Store_buffer.drain_lanes th.buf));
     match th.status with
     | Program.Done -> ()
-    | Program.Paused (Program.Paused_at (req, _)) ->
+    | Program.Paused (req, _) ->
         if request_enabled th req then tbuf_add b th.step_tr
   done;
   b.len
@@ -289,7 +287,7 @@ let enabled t =
 let pending_request t tid =
   match (thread t tid).status with
   | Program.Done -> None
-  | Program.Paused (Program.Paused_at (req, _)) ->
+  | Program.Paused (req, _) ->
       Some (Program.describe_named (Memory.name t.mem) req)
 
 type request_class =
@@ -297,26 +295,34 @@ type request_class =
   | C_store
   | C_rmw
   | C_fence
-  | C_work of int
+  | C_work
   | C_free
+  | C_done
 
 let pending_class t tid =
   match (thread t tid).status with
-  | Program.Done -> None
-  | Program.Paused (Program.Paused_at (req, _)) ->
-      Some
-        (match req with
-        | Program.Req_load _ -> C_load
-        | Program.Req_store _ -> C_store
-        | Program.Req_cas _ | Program.Req_fetch_add _ -> C_rmw
-        | Program.Req_fence -> C_fence
-        | Program.Req_work n -> C_work n
-        | Program.Req_label _ | Program.Req_pause -> C_free)
+  | Program.Done -> C_done
+  | Program.Paused (req, _) -> (
+      match req with
+      | Program.Req_load _ -> C_load
+      | Program.Req_store _ -> C_store
+      | Program.Req_cas _ | Program.Req_fetch_add _ -> C_rmw
+      | Program.Req_fence -> C_fence
+      | Program.Req_work _ -> C_work
+      | Program.Req_label _ | Program.Req_pause -> C_free)
+
+let pending_work t tid =
+  match (thread t tid).status with
+  | Program.Paused (Program.Req_work n, _) -> n
+  | _ -> 0
+
+let step_transition t tid = (thread t tid).step_tr
+let drain_transition t tid = (thread t tid).drain_trs.(0)
 
 let pending_load t tid =
   let th = thread t tid in
   match th.status with
-  | Program.Paused (Program.Paused_at (Program.Req_load a, _)) -> (
+  | Program.Paused (Program.Req_load a, _) -> (
       match Store_buffer.lookup th.buf a with
       | Some v -> Some (a, v, true)
       | None -> Some (a, Memory.get t.mem a, false))
@@ -325,7 +331,7 @@ let pending_load t tid =
 let store_blocked t tid =
   let th = thread t tid in
   match th.status with
-  | Program.Paused (Program.Paused_at (Program.Req_store _, _)) ->
+  | Program.Paused (Program.Req_store _, _) ->
       Store_buffer.is_full th.buf
   | _ -> false
 
@@ -346,10 +352,7 @@ let on_event t f =
 
 let exec_request t th (type a) (req : a Program.request) : a =
   match req with
-  | Program.Req_load a -> (
-      match Store_buffer.lookup th.buf a with
-      | Some v -> v
-      | None -> Memory.get t.mem a)
+  | Program.Req_load a -> Store_buffer.read th.buf t.mem a
   | Program.Req_store (a, v) ->
       Store_buffer.push th.buf a v;
       ()
@@ -475,13 +478,13 @@ let apply t tr =
       let th = thread t tid in
       match th.status with
       | Program.Done -> invalid_arg "Machine.apply: thread is done"
-      | Program.Paused (Program.Paused_at (req, resume)) ->
+      | Program.Paused (req, k) ->
           if not (request_enabled th req) then
             invalid_arg "Machine.apply: instruction not enabled";
           let v = exec_request t th req in
           th.hist <- mix (mix th.hist (encode_request req)) (encode_response req v);
           if t.record then log_response th (encode_response req v);
-          th.status <- resume v;
+          th.status <- Effect.Deep.continue k v;
           if counting then count_exec (counter_for t tid) th req;
           (* The formatted instruction string exists only for listeners;
              without any registered, the step allocates nothing here. *)
@@ -511,16 +514,15 @@ let fingerprint t =
   for i = 0 to n_cells - 1 do
     h := mix !h (Memory.cell mem i)
   done;
-  (* One closure shared by the egress slot and the buffer-proper walk; the
-     tuples it receives are the queue's own entries (no per-entry boxing). *)
-  let add_entry (a, v) = h := mix (mix !h (Addr.to_index a + 2)) v in
+  (* One closure shared by the egress slot and the buffer-proper walk. *)
+  let add_entry a v = h := mix (mix !h (Addr.to_index a + 2)) v in
   for i = 0 to t.n_threads - 1 do
     let th = t.threads.(i) in
     (* Control state: done/paused, the pending instruction, and the
        response-history hash (program position). *)
     (match th.status with
     | Program.Done -> h := mix !h 0xD0
-    | Program.Paused (Program.Paused_at (req, _)) ->
+    | Program.Paused (req, _) ->
         h := mix (mix !h 0xBA) (encode_request req));
     h := mix !h th.hist;
     (* The egress slot B is hashed separately from the buffer proper: a
@@ -528,9 +530,9 @@ let fingerprint t =
        states (they enable different transitions). *)
     (match Store_buffer.egress_entry th.buf with
     | None -> h := mix !h 0x0E
-    | Some e ->
+    | Some (a, v) ->
         h := mix !h 0x1E;
-        add_entry e);
+        add_entry a v);
     h := mix !h (Store_buffer.entries th.buf);
     Store_buffer.iter_entries th.buf add_entry
   done;
@@ -564,7 +566,7 @@ let footprint t tr =
       let th = thread t tid in
       match th.status with
       | Program.Done -> { f_tid = tid; f_read = no_addr; f_write = no_addr }
-      | Program.Paused (Program.Paused_at (req, _)) -> (
+      | Program.Paused (req, _) -> (
           match req with
           | Program.Req_load a ->
               { f_tid = tid; f_read = Addr.to_index a; f_write = no_addr }
@@ -679,7 +681,7 @@ let snapshot t snap =
     let n_entries = Store_buffer.entries th.buf in
     ts.s_entries <- ensure_int_array ts.s_entries (2 * n_entries);
     let k = ref 0 in
-    Store_buffer.iter_entries th.buf (fun (a, v) ->
+    Store_buffer.iter_entries th.buf (fun a v ->
         ts.s_entries.(2 * !k) <- Addr.to_index a;
         ts.s_entries.((2 * !k) + 1) <- v;
         incr k);
@@ -721,12 +723,13 @@ let restore_into snap t =
     (* Fast-forward the fresh continuation through the recorded responses;
        memory/buffer side effects of [exec_request] are NOT re-run — the
        snapshot already holds the resulting data state. *)
-    for k = 0 to ts.s_resp_len - 1 do
+    for r = 0 to ts.s_resp_len - 1 do
       match th.status with
       | Program.Done ->
           invalid_arg "Machine.restore_into: thread diverged from snapshot"
-      | Program.Paused (Program.Paused_at (req, resume)) ->
-          th.status <- resume (decode_response req ts.s_resp.(k))
+      | Program.Paused (req, k) ->
+          th.status <-
+            Effect.Deep.continue k (decode_response req ts.s_resp.(r))
     done;
     if status_done th.status <> ts.s_done then
       invalid_arg "Machine.restore_into: thread diverged from snapshot";
@@ -771,7 +774,7 @@ let fingerprint_digest t =
     Buffer.add_char b '|';
     (match th.status with
     | Program.Done -> Buffer.add_char b 'D'
-    | Program.Paused (Program.Paused_at (req, _)) ->
+    | Program.Paused (req, _) ->
         Buffer.add_char b 'P';
         Buffer.add_string b (Program.describe req));
     Buffer.add_char b '#';

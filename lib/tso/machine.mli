@@ -156,11 +156,23 @@ type request_class =
   | C_store
   | C_rmw  (** cas / fetch-and-add *)
   | C_fence
-  | C_work of int
+  | C_work  (** its cycle count is {!pending_work} *)
   | C_free  (** label / pause *)
+  | C_done  (** the thread has finished *)
 
-val pending_class : t -> tid -> request_class option
-(** Classification of the pending instruction, [None] if the thread is done. *)
+val pending_class : t -> tid -> request_class
+(** Classification of the pending instruction. Constant constructors only,
+    so the timing engine's per-event selection allocates nothing. *)
+
+val pending_work : t -> tid -> int
+(** Cycle count of a pending [work] instruction; [0] for any other. *)
+
+val step_transition : t -> tid -> transition
+(** The thread's preallocated [Step tid]. *)
+
+val drain_transition : t -> tid -> transition
+(** The thread's preallocated [Drain (tid, 0)], the FIFO models' only
+    drain lane. *)
 
 val pending_load : t -> tid -> (Addr.t * int * bool) option
 (** If the thread's pending instruction is a plain load: its address, the

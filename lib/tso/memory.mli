@@ -16,7 +16,9 @@ val alloc : t -> name:string -> init:int -> Addr.t
 
 val alloc_array : t -> name:string -> len:int -> init:int -> Addr.t
 (** Allocate [len] contiguous cells named [name[0]] ... [name[len-1]];
-    returns the address of element 0. *)
+    returns the address of element 0. The memory keeps one name per
+    allocation, so this costs a fill of [len] cells and no string per
+    element. *)
 
 val get : t -> Addr.t -> int
 val set : t -> Addr.t -> int -> unit
@@ -25,7 +27,9 @@ val size : t -> int
 (** Number of allocated cells. *)
 
 val name : t -> Addr.t -> string
-(** Symbolic name of a cell, for tracing. *)
+(** Symbolic name of a cell, for tracing: the allocation's [name] for a
+    scalar, [name[i]] for element [i] of an array. Formatted on each call
+    (a binary search over the allocations), so keep it off hot paths. *)
 
 val snapshot : t -> int array
 (** Copy of the current contents (used by the explorer to compare states and

@@ -1,22 +1,3 @@
-type _ Effect.t +=
-  | E_load : Addr.t -> int Effect.t
-  | E_store : Addr.t * int -> unit Effect.t
-  | E_cas : Addr.t * int * int -> bool Effect.t
-  | E_fetch_add : Addr.t * int -> int Effect.t
-  | E_fence : unit Effect.t
-  | E_work : int -> unit Effect.t
-  | E_label : string -> unit Effect.t
-  | E_pause : unit Effect.t
-
-let load a = Effect.perform (E_load a)
-let store a v = Effect.perform (E_store (a, v))
-let cas a ~expect ~replace = Effect.perform (E_cas (a, expect, replace))
-let fetch_add a d = Effect.perform (E_fetch_add (a, d))
-let fence () = Effect.perform E_fence
-let work n = if n > 0 then Effect.perform (E_work n)
-let label s = Effect.perform (E_label s)
-let spin_pause () = Effect.perform E_pause
-
 type _ request =
   | Req_load : Addr.t -> int request
   | Req_store : Addr.t * int -> unit request
@@ -27,11 +8,24 @@ type _ request =
   | Req_label : string -> unit request
   | Req_pause : unit request
 
+(* One effect carries every instruction: the payload is the request the
+   machine executes, so pausing allocates no mirror value. *)
+type _ Effect.t += Op : 'a request -> 'a Effect.t
+
 type status =
   | Done
-  | Paused of paused
+  | Paused : 'a request * ('a, status) Effect.Deep.continuation -> status
 
-and paused = Paused_at : 'a request * ('a -> status) -> paused
+let load a = Effect.perform (Op (Req_load a))
+let store a v = Effect.perform (Op (Req_store (a, v)))
+let cas a ~expect ~replace = Effect.perform (Op (Req_cas (a, expect, replace)))
+let fetch_add a d = Effect.perform (Op (Req_fetch_add (a, d)))
+let op_fence = Op Req_fence
+let fence () = Effect.perform op_fence
+let work n = if n > 0 then Effect.perform (Op (Req_work n))
+let label s = Effect.perform (Op (Req_label s))
+let op_pause = Op Req_pause
+let spin_pause () = Effect.perform op_pause
 
 let start body =
   let open Effect.Deep in
@@ -41,20 +35,8 @@ let start body =
       exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
-          let pause (req : a request) =
-            Some
-              (fun (k : (a, status) continuation) ->
-                Paused (Paused_at (req, fun v -> continue k v)))
-          in
           match eff with
-          | E_load a -> pause (Req_load a)
-          | E_store (a, v) -> pause (Req_store (a, v))
-          | E_cas (a, e, r) -> pause (Req_cas (a, e, r))
-          | E_fetch_add (a, d) -> pause (Req_fetch_add (a, d))
-          | E_fence -> pause Req_fence
-          | E_work n -> pause (Req_work n)
-          | E_label s -> pause (Req_label s)
-          | E_pause -> pause Req_pause
+          | Op req -> Some (fun (k : (a, status) continuation) -> Paused (req, k))
           | _ -> None);
     }
 

@@ -55,9 +55,9 @@ type _ request =
 
 type status =
   | Done
-  | Paused of paused
-
-and paused = Paused_at : 'a request * ('a -> status) -> paused
+  | Paused : 'a request * ('a, status) Effect.Deep.continuation -> status
+      (** waiting to execute the request; resume the program with its
+          response through [Effect.Deep.continue] *)
 
 val start : (unit -> unit) -> status
 (** Run a thread program up to its first instruction (or completion). *)

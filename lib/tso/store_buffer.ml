@@ -3,65 +3,110 @@ type model =
   | Realistic of { coalesce : bool }
   | Pso
 
+(* The buffer proper is a ring of [capacity] slots held in two int arrays
+   (address index, value), oldest entry at [head]: a store issues without
+   allocating and forwarding scans plain ints. *)
 type t = {
   capacity : int;
   model : model;
-  buf : (Addr.t * int) Queue.t;
+  addrs : int array;
+  vals : int array;
+  mutable head : int;
+  mutable len : int;
   mutable egress : (Addr.t * int) option;
 }
 
 let create ~capacity ~model =
   if capacity < 1 then invalid_arg "Store_buffer.create: capacity must be >= 1";
-  { capacity; model; buf = Queue.create (); egress = None }
+  {
+    capacity;
+    model;
+    addrs = Array.make capacity 0;
+    vals = Array.make capacity 0;
+    head = 0;
+    len = 0;
+    egress = None;
+  }
 
 let capacity t = t.capacity
 let model t = t.model
-let entries t = Queue.length t.buf
-
-let pending t =
-  Queue.length t.buf + (match t.egress with None -> 0 | Some _ -> 1)
-
+let entries t = t.len
+let pending t = t.len + (match t.egress with None -> 0 | Some _ -> 1)
 let is_empty t = pending t = 0
-let is_full t = Queue.length t.buf >= t.capacity
+let is_full t = t.len >= t.capacity
+
+(* Ring slot of the [k]-th oldest entry (0 <= k < capacity). *)
+let[@inline] slot t k =
+  let i = t.head + k in
+  if i >= t.capacity then i - t.capacity else i
 
 let push t a v =
   if is_full t then invalid_arg "Store_buffer.push: buffer full";
-  Queue.push (a, v) t.buf
+  let i = slot t t.len in
+  t.addrs.(i) <- Addr.to_index a;
+  t.vals.(i) <- v;
+  t.len <- t.len + 1
 
+(* Slot of the newest entry for address index [a] among the [k + 1]
+   oldest, or -1. Top-level, so a scan allocates no closure. *)
+let rec find_newest t a k =
+  if k < 0 then -1
+  else
+    let i = slot t k in
+    if t.addrs.(i) = a then i else find_newest t a (k - 1)
+
+(* B holds the oldest pending store, so it only matters when the buffer
+   proper has no match. *)
 let lookup t a =
-  (* Newest matching entry wins; the queue iterates oldest-first, so the last
-     match found in the buffer proper is the newest. B holds the oldest
-     pending store, so it only matters when the buffer proper has no match. *)
-  let found = ref None in
-  Queue.iter (fun (a', v) -> if Addr.equal a a' then found := Some v) t.buf;
-  match !found with
-  | Some _ as r -> r
-  | None -> (
-      match t.egress with
-      | Some (a', v) when Addr.equal a a' -> Some v
-      | _ -> None)
+  let i = find_newest t (Addr.to_index a) (t.len - 1) in
+  if i >= 0 then Some t.vals.(i)
+  else
+    match t.egress with
+    | Some (a', v) when Addr.equal a a' -> Some v
+    | _ -> None
+
+let read t mem a =
+  let i = find_newest t (Addr.to_index a) (t.len - 1) in
+  if i >= 0 then t.vals.(i)
+  else
+    match t.egress with
+    | Some (a', v) when Addr.equal a a' -> v
+    | _ -> Memory.get mem a
 
 type drain_result =
   | Wrote of Addr.t * int
   | Staged of Addr.t * int
   | Coalesced of Addr.t * int
 
-let oldest t = Queue.peek_opt t.buf
+let oldest t =
+  if t.len = 0 then None
+  else Some (Addr.of_index t.addrs.(t.head), t.vals.(t.head))
 
 let can_drain t =
-  match oldest t with
-  | None -> false
-  | Some (a, _) -> (
-      match t.model with
-      | Abstract | Pso -> true
-      | Realistic { coalesce } -> (
-          match t.egress with
-          | None -> true
-          | Some (a', _) -> coalesce && Addr.equal a a'))
+  t.len > 0
+  &&
+  match t.model with
+  | Abstract | Pso -> true
+  | Realistic { coalesce } -> (
+      match t.egress with
+      | None -> true
+      | Some (a', _) -> coalesce && Addr.to_index a' = t.addrs.(t.head))
+
+(* Remove the [k]-th oldest entry, keeping the others in order. *)
+let delete t k =
+  if k = 0 then t.head <- slot t 1
+  else
+    for j = k to t.len - 2 do
+      let dst = slot t j and src = slot t (j + 1) in
+      t.addrs.(dst) <- t.addrs.(src);
+      t.vals.(dst) <- t.vals.(src)
+    done;
+  t.len <- t.len - 1
 
 let drain t mem =
   if not (can_drain t) then invalid_arg "Store_buffer.drain: not enabled";
-  let a, v = Queue.pop t.buf in
+  let a = Addr.of_index t.addrs.(t.head) and v = t.vals.(t.head) in
+  delete t 0;
   match t.model with
   | Abstract | Pso ->
       Memory.set mem a v;
@@ -76,13 +121,21 @@ let drain t mem =
           t.egress <- Some (a, v);
           Coalesced (a, v))
 
+let fold_entries t f acc =
+  let acc = ref acc in
+  for k = 0 to t.len - 1 do
+    let i = slot t k in
+    acc := f !acc (Addr.of_index t.addrs.(i)) t.vals.(i)
+  done;
+  !acc
+
 (* PSO: one drain lane per address with pending stores; lanes are address
    indices, so they are stable across replays of a schedule. *)
 let drain_lanes t =
   match t.model with
   | Abstract | Realistic _ -> if can_drain t then [ 0 ] else []
   | Pso ->
-      Queue.fold (fun acc (a, _) -> Addr.to_index a :: acc) [] t.buf
+      fold_entries t (fun acc a _ -> Addr.to_index a :: acc) []
       |> List.sort_uniq compare
 
 let drain_lane t lane mem =
@@ -92,18 +145,15 @@ let drain_lane t lane mem =
       drain t mem
   | Pso ->
       (* remove the oldest entry whose address is [lane] *)
-      if not (List.mem lane (drain_lanes t)) then
-        invalid_arg "Store_buffer.drain_lane: lane has no pending store";
-      let entries = Queue.fold (fun acc e -> e :: acc) [] t.buf |> List.rev in
-      Queue.clear t.buf;
-      let removed = ref None in
-      List.iter
-        (fun ((a, v) as e) ->
-          if Option.is_none !removed && Addr.to_index a = lane then
-            removed := Some (a, v)
-          else Queue.push e t.buf)
-        entries;
-      let a, v = Option.get !removed in
+      let rec first k =
+        if k >= t.len then
+          invalid_arg "Store_buffer.drain_lane: lane has no pending store"
+        else if t.addrs.(slot t k) = lane then k
+        else first (k + 1)
+      in
+      let k = first 0 in
+      let a = Addr.of_index t.addrs.(slot t k) and v = t.vals.(slot t k) in
+      delete t k;
       Memory.set mem a v;
       Wrote (a, v)
 
@@ -120,12 +170,18 @@ let flush_egress t mem =
 let egress_entry t = t.egress
 
 let clear t =
-  Queue.clear t.buf;
+  t.head <- 0;
+  t.len <- 0;
   t.egress <- None
 
 let set_egress t e = t.egress <- e
-let buffered t = Queue.fold (fun acc e -> e :: acc) [] t.buf |> List.rev
-let iter_entries t f = Queue.iter f t.buf
+let buffered t = List.rev (fold_entries t (fun acc a v -> (a, v) :: acc) [])
+
+let iter_entries t f =
+  for k = 0 to t.len - 1 do
+    let i = slot t k in
+    f (Addr.of_index t.addrs.(i)) t.vals.(i)
+  done
 
 let to_list t =
   let tail = buffered t in

@@ -26,6 +26,8 @@ type model =
           fence — the tests demonstrate it. *)
 
 type t
+(** The buffer proper is a fixed ring of [capacity] (address, value) slots,
+    so issuing and forwarding a store allocate nothing. *)
 
 val create : capacity:int -> model:model -> t
 
@@ -50,6 +52,11 @@ val push : t -> Addr.t -> int -> unit
 val lookup : t -> Addr.t -> int option
 (** Newest buffered value for an address (store-to-load forwarding), searching
     the buffer proper newest-first, then B. *)
+
+val read : t -> Memory.t -> Addr.t -> int
+(** The value a load of the buffer's thread observes: {!lookup}'s value if
+    there is one, the memory cell otherwise. Allocation-free; the machine's
+    load step. *)
 
 type drain_result =
   | Wrote of Addr.t * int  (** a store became globally visible in memory *)
@@ -103,9 +110,8 @@ val set_egress : t -> (Addr.t * int) option -> unit
 val buffered : t -> (Addr.t * int) list
 (** The buffer proper only, oldest-first (excludes B). *)
 
-val iter_entries : t -> (Addr.t * int -> unit) -> unit
-(** Iterate the buffer proper oldest-first without building a list; the
-    callback receives the buffer's own entries (no per-entry allocation).
-    Used by {!Machine.fingerprint}'s hot path. *)
+val iter_entries : t -> (Addr.t -> int -> unit) -> unit
+(** Iterate the buffer proper oldest-first without building a list or a
+    tuple per entry. Used by {!Machine.fingerprint}'s hot path. *)
 
 val pp : Memory.t -> Format.formatter -> t -> unit

@@ -39,7 +39,11 @@ type core = {
   mutable clock : int;
   mutable drain_free : int;  (* when the drain engine can start its next write *)
   mutable buffer_emptied_at : int;  (* time of the drain that last emptied the buffer *)
-  issue_times : int Queue.t;  (* completion times of buffered stores, oldest first *)
+  (* completion times of buffered stores, oldest first: a ring of
+     [sb_capacity] slots, one per store-buffer entry *)
+  issue_times : int array;
+  mutable issue_head : int;
+  mutable issue_len : int;
   store_ids : int Queue.t;  (* trace ids of buffered stores, parallel to issue_times *)
   mutable store_was_blocked : bool;  (* pending store has waited on a full buffer *)
   mutable instructions : int;
@@ -59,6 +63,17 @@ type clock = { mutable now : int }
 let clock () = { now = 0 }
 let now c = c.now
 
+let push_issue c time =
+  let cap = Array.length c.issue_times in
+  let i = c.issue_head + c.issue_len in
+  c.issue_times.(if i >= cap then i - cap else i) <- time;
+  c.issue_len <- c.issue_len + 1
+
+let drop_issue c =
+  let i = c.issue_head + 1 in
+  c.issue_head <- (if i >= Array.length c.issue_times then 0 else i);
+  c.issue_len <- c.issue_len - 1
+
 let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
     ?(trace_pid = 0) m costs =
   (match Machine.config m with
@@ -66,6 +81,7 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
   | _ -> invalid_arg "Timing.run: requires the Abstract buffer model");
   let clk = match clk with Some c -> c | None -> { now = 0 } in
   let n = Machine.thread_count m in
+  let sb_capacity = (Machine.config m).sb_capacity in
   (* One knob for counter collection: attaching the sink here also turns on
      the machine-level counters (loads/stores/occupancy/...); this function
      adds the stall attribution the machine cannot see. With [shards], each
@@ -95,7 +111,9 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
           clock = 0;
           drain_free = 0;
           buffer_emptied_at = 0;
-          issue_times = Queue.create ();
+          issue_times = Array.make sb_capacity 0;
+          issue_head = 0;
+          issue_len = 0;
           store_ids = Queue.create ();
           store_was_blocked = false;
           instructions = 0;
@@ -111,27 +129,25 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
      (no option/tuple allocation per simulated event). *)
   let next_drain_time tid =
     let c = cores.(tid) in
-    if Queue.is_empty c.issue_times then -1
-    else max c.drain_free (Queue.peek c.issue_times) + costs.drain_latency
+    if c.issue_len = 0 then -1
+    else
+      Int.max c.drain_free c.issue_times.(c.issue_head) + costs.drain_latency
   in
   (* Time at which the instruction pending on [tid] can execute, or -1 if
      it must wait for a drain (full buffer / fence / RMW). *)
   let feasible_time tid =
     let c = cores.(tid) in
     match Machine.pending_class m tid with
-    | None -> -1
-    | Some cls -> (
-        match cls with
-        | Machine.C_load | Machine.C_work _ | Machine.C_free -> c.clock
-        | Machine.C_store ->
-            if Machine.store_blocked m tid then begin
-              c.store_was_blocked <- true;
-              -1
-            end
-            else c.clock
-        | Machine.C_rmw | Machine.C_fence ->
-            if Queue.is_empty c.issue_times then max c.clock c.buffer_emptied_at
-            else -1)
+    | Machine.C_done -> -1
+    | Machine.C_load | Machine.C_work | Machine.C_free -> c.clock
+    | Machine.C_store ->
+        if Machine.store_blocked m tid then begin
+          c.store_was_blocked <- true;
+          -1
+        end
+        else c.clock
+    | Machine.C_rmw | Machine.C_fence ->
+        if c.issue_len = 0 then Int.max c.clock c.buffer_emptied_at else -1
   in
   let steps = ref 0 in
   let outcome = ref Sched.Quiescent in
@@ -178,10 +194,10 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
           let tid = !best_tid in
           clk.now <- time;
           let c = cores.(tid) in
-          Machine.apply m (Machine.Drain (tid, 0));
-          ignore (Queue.pop c.issue_times);
+          Machine.apply m (Machine.drain_transition m tid);
+          drop_issue c;
           c.drain_free <- time;
-          if Queue.is_empty c.issue_times then c.buffer_emptied_at <- time;
+          if c.issue_len = 0 then c.buffer_emptied_at <- time;
           match tracer with
           | None -> ()
           | Some tr ->
@@ -190,7 +206,7 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
                 ~pid:trace_pid ~tid ~ts:time ~id ();
               Telemetry.Chrome_trace.counter tr ~name:"sb-entries" ~cat:"sb"
                 ~pid:trace_pid ~tid ~ts:time
-                ~values:[ ("entries", Queue.length c.issue_times) ]
+                ~values:[ ("entries", c.issue_len) ]
                 ()
         end
         else begin
@@ -198,11 +214,9 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
           let tid = !best_tid in
           clk.now <- time;
           let c = cores.(tid) in
-          let cls =
-            match Machine.pending_class m tid with
-            | Some cls -> cls
-            | None -> assert false
-          in
+          (* read before [apply] consumes the instruction *)
+          let cls = Machine.pending_class m tid in
+          let work = Machine.pending_work m tid in
           (* Grab the description before [apply] consumes the instruction;
              only when tracing — it allocates a string per instruction. *)
           let descr =
@@ -211,7 +225,7 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
             | Some _ -> Machine.pending_request m tid
           in
           let clock_before = c.clock in
-          Machine.apply m (Machine.Step tid);
+          Machine.apply m (Machine.step_transition m tid);
           c.instructions <- c.instructions + 1;
           (match cls with
           | Machine.C_load ->
@@ -220,7 +234,7 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
           | Machine.C_store ->
               c.stores <- c.stores + 1;
               c.clock <- time + costs.store_cost;
-              Queue.push c.clock c.issue_times;
+              push_issue c c.clock;
               (* If the store sat on a full buffer, the wait ended when the
                  drain engine freed a slot at [drain_free]. *)
               if c.store_was_blocked then begin
@@ -231,7 +245,7 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
                     let s = stall_sink tid s in
                     s.Telemetry.Sink.drain_stall_cycles <-
                       s.Telemetry.Sink.drain_stall_cycles
-                      + max 0 (c.drain_free - clock_before)
+                      + Int.max 0 (c.drain_free - clock_before)
               end
           | Machine.C_rmw ->
               c.rmws <- c.rmws + 1;
@@ -241,10 +255,11 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
               c.fences <- c.fences + 1;
               c.fence_stall <- c.fence_stall + (time - clock_before);
               c.clock <- time + costs.fence_cost
-          | Machine.C_work w ->
-              c.work_cycles <- c.work_cycles + w;
-              c.clock <- time + w
-          | Machine.C_free -> c.clock <- time + costs.pause_cost);
+          | Machine.C_work ->
+              c.work_cycles <- c.work_cycles + work;
+              c.clock <- time + work
+          | Machine.C_free -> c.clock <- time + costs.pause_cost
+          | Machine.C_done -> assert false);
           (match cls, sink with
           | (Machine.C_rmw | Machine.C_fence), Some s ->
               let s = stall_sink tid s in
@@ -270,12 +285,13 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
                 | Machine.C_store -> "store"
                 | Machine.C_rmw -> "rmw"
                 | Machine.C_fence -> "fence"
-                | Machine.C_work _ -> "work"
+                | Machine.C_work -> "work"
                 | Machine.C_free -> "free"
+                | Machine.C_done -> assert false
               in
               Telemetry.Chrome_trace.complete tr ~name ~cat ~pid:trace_pid
                 ~tid ~ts:time
-                ~dur:(max 0 (c.clock - time))
+                ~dur:(Int.max 0 (c.clock - time))
                 ();
               match cls with
               | Machine.C_store ->
@@ -286,7 +302,7 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
                     ~cat:"sb" ~pid:trace_pid ~tid ~ts:time ~id ();
                   Telemetry.Chrome_trace.counter tr ~name:"sb-entries"
                     ~cat:"sb" ~pid:trace_pid ~tid ~ts:time
-                    ~values:[ ("entries", Queue.length c.issue_times) ]
+                    ~values:[ ("entries", c.issue_len) ]
                     ()
               | _ -> ()
         end);
@@ -313,5 +329,5 @@ let run ?(max_steps = 50_000_000) ?clock:clk ?sink ?shards ?tracer
         })
       cores
   in
-  let makespan = Array.fold_left (fun acc c -> max acc c.clock) 0 cores in
+  let makespan = Array.fold_left (fun acc c -> Int.max acc c.clock) 0 cores in
   { makespan; outcome = !outcome; steps = !steps; threads }

@@ -112,6 +112,26 @@ let test_engine_runs_fib qname () =
   checki "lost" 0 r.Engine.lost;
   checki "duplicates" 0 r.Engine.duplicates
 
+(* Allocation budget of a timed run's set-up: four default-capacity
+   queues (2^14 cells each) must not cost a formatted name per cell. A
+   four-task DAG keeps the run itself negligible. *)
+let test_engine_setup_words () =
+  let d =
+    Dag.of_comp
+      (Dag.Fork { before = 1; children = [ Dag.Leaf 1; Dag.Leaf 1 ]; after = 1 })
+  in
+  let cfg = Engine.default_config in
+  checki "default workers" 4 cfg.Engine.workers;
+  checki "default queue capacity" (1 lsl 14) cfg.Engine.queue_capacity;
+  let wl = Dag.instantiate d ~name:"tiny" in
+  let w0 = Gc.minor_words () in
+  let r = Engine.run_timed cfg wl in
+  let words = Gc.minor_words () -. w0 in
+  checkb "quiescent" true (r.Engine.outcome = Tso.Sched.Quiescent);
+  if words > 50_000.0 then
+    Alcotest.failf "a tiny timed run allocates %.0f minor words (budget 50000)"
+      words
+
 let test_engine_random_mode qname () =
   let wl = Workload.uniform ~name:"u" ~tasks:40 ~work:5 () in
   let r = Engine.run_random ~drain_weight:0.08 (engine_cfg qname) wl in
@@ -445,6 +465,8 @@ let () =
         @ [
             Alcotest.test_case "single worker" `Quick
               test_engine_single_worker_no_steals;
+            Alcotest.test_case "set-up allocation budget" `Quick
+              test_engine_setup_words;
             Alcotest.test_case "determinism" `Quick test_engine_determinism;
             Alcotest.test_case "seed sensitivity" `Quick
               test_engine_seed_changes_schedule;

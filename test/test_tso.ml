@@ -49,6 +49,58 @@ let test_memory_oob () =
   Alcotest.check_raises "oob" (Invalid_argument "Memory: address 5 out of bounds (size 1)")
     (fun () -> ignore (Memory.get mem (Addr.of_index 5)))
 
+(* Cell names are formatted on demand from one name per allocation; they
+   must read exactly as eagerly formatted per-cell names would, across
+   scalars, arrays of every length and the boundaries between them. *)
+let test_memory_names_on_demand () =
+  let mem = Memory.create () in
+  let expected = ref [] in
+  let scalar name init =
+    ignore (Memory.alloc mem ~name ~init);
+    expected := (name, init) :: !expected
+  in
+  let array name len =
+    ignore (Memory.alloc_array mem ~name ~len ~init:len);
+    for i = 0 to len - 1 do
+      expected := (Printf.sprintf "%s[%d]" name i, len) :: !expected
+    done
+  in
+  scalar "H" 1;
+  array "q0.tasks" 17;
+  scalar "T" 2;
+  scalar "lock" 3;
+  array "one" 1;
+  array "q1.tasks" 1000;
+  for k = 0 to 11 do
+    array (Printf.sprintf "a%d" k) (k + 2);
+    scalar (Printf.sprintf "s%d" k) k
+  done;
+  let expected = Array.of_list (List.rev !expected) in
+  checki "size" (Array.length expected) (Memory.size mem);
+  Array.iteri
+    (fun i (name, _) ->
+      check Alcotest.string
+        (Printf.sprintf "name of cell %d" i)
+        name
+        (Memory.name mem (Addr.of_index i)))
+    expected;
+  let eager_pp =
+    Format.asprintf "%t" (fun ppf ->
+        Format.fprintf ppf "@[<v>";
+        Array.iter (fun (n, v) -> Format.fprintf ppf "%s = %d@," n v) expected;
+        Format.fprintf ppf "@]")
+  in
+  check Alcotest.string "pp" eager_pp (Format.asprintf "%a" Memory.pp mem);
+  let size = Memory.size mem in
+  List.iter
+    (fun i ->
+      Alcotest.check_raises
+        (Printf.sprintf "name of cell %d" i)
+        (Invalid_argument
+           (Printf.sprintf "Memory: address %d out of bounds (size %d)" i size))
+        (fun () -> ignore (Memory.name mem (Addr.of_index i))))
+    [ -1; size; size + 5 ]
+
 (* ------------------------------------------------------------------ *)
 (* Store buffer                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -237,6 +289,148 @@ let sb_model_prop =
            (fun i -> Memory.get mem addrs.(i) = refmem.(i))
            [ 0; 1; 2; 3 ])
 
+(* qcheck: the ring buffer against a list model under every buffer model,
+   over long push/drain/flush sequences on small capacities, so the ring
+   wraps many times. Every observable is compared after every operation. *)
+let sb_ring_differential_prop =
+  let models =
+    [|
+      Store_buffer.Abstract;
+      Store_buffer.Realistic { coalesce = false };
+      Store_buffer.Realistic { coalesce = true };
+      Store_buffer.Pso;
+    |]
+  in
+  QCheck.Test.make ~name:"ring store buffer matches a list model" ~count:400
+    QCheck.(
+      triple (int_bound 3) (int_range 1 5)
+        (list_of_size Gen.(int_range 50 300)
+           (triple (int_bound 3) (int_bound 2) (int_bound 99))))
+    (fun (mi, capacity, ops) ->
+      let model = models.(mi) in
+      let mem = Memory.create () in
+      let addrs =
+        Array.init 3 (fun i ->
+            Memory.alloc mem ~name:(Printf.sprintf "a%d" i) ~init:0)
+      in
+      let sb = Store_buffer.create ~capacity ~model in
+      (* the model: pending stores oldest-first, B, memory *)
+      let pending = ref [] and egress = ref None in
+      let refmem = Array.make 3 0 in
+      let coalesce =
+        match model with Store_buffer.Realistic { coalesce } -> coalesce | _ -> false
+      in
+      let entry (i, v) = (addrs.(i), v) in
+      let model_lookup i =
+        match List.filter (fun (j, _) -> j = i) !pending |> List.rev with
+        | (_, v) :: _ -> Some v
+        | [] -> (
+            match !egress with Some (j, v) when j = i -> Some v | _ -> None)
+      in
+      let model_can_drain () =
+        match (!pending, model) with
+        | [], _ -> false
+        | (i, _) :: _, Store_buffer.Realistic _ -> (
+            match !egress with None -> true | Some (j, _) -> coalesce && i = j)
+        | _ -> true
+      in
+      let model_lanes () =
+        match model with
+        | Store_buffer.Pso ->
+            List.sort_uniq compare
+              (List.map (fun (i, _) -> Addr.to_index addrs.(i)) !pending)
+        | _ -> if model_can_drain () then [ 0 ] else []
+      in
+      let rec remove_first i = function
+        | [] -> assert false
+        | (j, v) :: rest when j = i -> ((j, v), rest)
+        | e :: rest ->
+            let found, rest = remove_first i rest in
+            (found, e :: rest)
+      in
+      let same = ref true in
+      let expect b = if not b then same := false in
+      let observe () =
+        let buffered = List.map entry !pending in
+        expect (Store_buffer.buffered sb = buffered);
+        let seen = ref [] in
+        Store_buffer.iter_entries sb (fun a v -> seen := (a, v) :: !seen);
+        expect (List.rev !seen = buffered);
+        expect
+          (Store_buffer.to_list sb
+          = (match !egress with None -> [] | Some e -> [ entry e ]) @ buffered);
+        expect (Store_buffer.egress_entry sb = Option.map entry !egress);
+        expect
+          (Store_buffer.oldest sb
+          = match !pending with [] -> None | e :: _ -> Some (entry e));
+        expect (Store_buffer.entries sb = List.length !pending);
+        expect
+          (Store_buffer.pending sb
+          = List.length !pending + if !egress = None then 0 else 1);
+        expect (Store_buffer.is_full sb = (List.length !pending >= capacity));
+        expect (Store_buffer.can_drain sb = model_can_drain ());
+        expect (Store_buffer.drain_lanes sb = model_lanes ());
+        Array.iteri
+          (fun i a ->
+            let fwd = model_lookup i in
+            expect (Store_buffer.lookup sb a = fwd);
+            expect
+              (Store_buffer.read sb mem a
+              = match fwd with Some v -> v | None -> refmem.(i));
+            expect (Memory.get mem a = refmem.(i)))
+          addrs
+      in
+      List.iter
+        (fun (kind, i, v) ->
+          (match kind with
+          | 0 | 1 ->
+              if not (Store_buffer.is_full sb) then begin
+                Store_buffer.push sb addrs.(i) v;
+                pending := !pending @ [ (i, v) ]
+              end
+          | 2 -> (
+              match model_lanes () with
+              | [] -> ()
+              | lanes ->
+                  let lane = List.nth lanes (v mod List.length lanes) in
+                  let got = Store_buffer.drain_lane sb lane mem in
+                  (* PSO drains the oldest store of the lane's address,
+                     the FIFO models the oldest store overall *)
+                  let j =
+                    match model with
+                    | Store_buffer.Pso ->
+                        let rec idx k =
+                          if Addr.to_index addrs.(k) = lane then k else idx (k + 1)
+                        in
+                        idx 0
+                    | _ -> fst (List.hd !pending)
+                  in
+                  let (j, w), rest = remove_first j !pending in
+                  pending := rest;
+                  let want =
+                    match (model, !egress) with
+                    | Store_buffer.Realistic _, None ->
+                        egress := Some (j, w);
+                        Store_buffer.Staged (addrs.(j), w)
+                    | Store_buffer.Realistic _, Some _ ->
+                        egress := Some (j, w);
+                        Store_buffer.Coalesced (addrs.(j), w)
+                    | _ ->
+                        refmem.(j) <- w;
+                        Store_buffer.Wrote (addrs.(j), w)
+                  in
+                  expect (got = want))
+          | _ -> (
+              match !egress with
+              | None -> expect (not (Store_buffer.can_flush_egress sb))
+              | Some (j, w) ->
+                  expect (Store_buffer.flush_egress sb mem = entry (j, w));
+                  egress := None;
+                  refmem.(j) <- w));
+          observe ())
+        ops;
+      !same)
+
 (* ------------------------------------------------------------------ *)
 (* Machine semantics                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -320,6 +514,48 @@ let test_machine_forwarding () =
   ignore (Machine.apply m (Machine.Step tid));
   checki "store-to-load forwarding" 33 !seen;
   checki "memory not yet updated" 0 (Memory.get mem x)
+
+(* Minor words allocated by [f], net of the measurement's own boxing. *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  f ();
+  let w2 = Gc.minor_words () in
+  (w2 -. w1) -. (w1 -. w0)
+
+(* Allocation budget of the load step: executing a load (here one that
+   scans a full store buffer and misses) and resuming the program to its
+   next load through [Machine.apply]. *)
+let test_machine_load_step_words () =
+  let loads = 1000 in
+  let m = Machine.create (Machine.abstract_config ~sb_capacity:8) in
+  let mem = Machine.memory m in
+  let x = Memory.alloc mem ~name:"x" ~init:5 in
+  let y = Memory.alloc mem ~name:"y" ~init:0 in
+  let sum = ref 0 in
+  let tid =
+    Machine.spawn m ~name:"t" (fun () ->
+        for i = 1 to 8 do
+          Program.store y i
+        done;
+        for _ = 1 to loads do
+          sum := !sum + Program.load x
+        done)
+  in
+  let step = Machine.step_transition m tid in
+  for _ = 1 to 9 do
+    Machine.apply m step
+  done;
+  let words =
+    minor_words_of (fun () ->
+        for _ = 2 to loads do
+          Machine.apply m step
+        done)
+  in
+  checki "loads observed memory" (5 * loads) !sum;
+  let per_step = words /. float_of_int (loads - 1) in
+  if per_step > 20.0 then
+    Alcotest.failf "a load step allocates %.1f words (budget 20)" per_step
 
 let test_machine_events () =
   let m = Machine.create (Machine.abstract_config ~sb_capacity:2) in
@@ -1267,6 +1503,7 @@ let () =
           Alcotest.test_case "arrays" `Quick test_memory_array;
           Alcotest.test_case "growth" `Quick test_memory_growth;
           Alcotest.test_case "out of bounds" `Quick test_memory_oob;
+          Alcotest.test_case "names on demand" `Quick test_memory_names_on_demand;
         ] );
       ( "store-buffer",
         [
@@ -1281,6 +1518,7 @@ let () =
           Alcotest.test_case "PSO drain lanes are stable" `Quick
             test_sb_pso_lanes_stable;
           QCheck_alcotest.to_alcotest sb_model_prop;
+          QCheck_alcotest.to_alcotest sb_ring_differential_prop;
         ] );
       ( "machine",
         [
@@ -1298,6 +1536,8 @@ let () =
           Alcotest.test_case "fingerprint splits egress from queue" `Quick
             test_fingerprint_distinguishes_egress;
           Alcotest.test_case "rmw atomicity" `Quick test_machine_rmw_atomicity;
+          Alcotest.test_case "load step allocation budget" `Quick
+            test_machine_load_step_words;
         ] );
       ( "sched",
         [
