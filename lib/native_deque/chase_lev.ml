@@ -1,14 +1,19 @@
 (* Chase & Lev, "Dynamic circular work-stealing deque" (SPAA 2005), with the
    growing circular buffer of the original. H and T are monotonically
-   increasing virtual indices; the buffer doubles on overflow. *)
+   increasing virtual indices; the buffer doubles on overflow.
 
-type 'a buffer = { log_size : int; elems : 'a option Atomic.t array }
+   Slots are plain array cells, as in [The_queue]: the owner writes a slot
+   and then publishes it with the SC store of [tail] (and a grown buffer
+   with the SC store of [buf]), so a thief that reads the new tail (or
+   buffer) also sees the slot. *)
+
+type 'a buffer = { log_size : int; elems : 'a option array }
 
 let buffer_create log_size =
-  { log_size; elems = Array.init (1 lsl log_size) (fun _ -> Atomic.make None) }
+  { log_size; elems = Array.make (1 lsl log_size) None }
 
-let buffer_get b i = Atomic.get b.elems.(i land ((1 lsl b.log_size) - 1))
-let buffer_set b i v = Atomic.set b.elems.(i land ((1 lsl b.log_size) - 1)) v
+let buffer_get b i = b.elems.(i land ((1 lsl b.log_size) - 1))
+let buffer_set b i v = b.elems.(i land ((1 lsl b.log_size) - 1)) <- v
 
 let buffer_grow b ~head ~tail =
   let b' = buffer_create (b.log_size + 1) in
@@ -17,6 +22,8 @@ let buffer_grow b ~head ~tail =
   done;
   b'
 
+(* [head] and [tail] are padded apart: the owner writes [tail] on every
+   push and pop, thieves CAS [head]. *)
 type 'a t = {
   head : int Atomic.t;
   tail : int Atomic.t;
@@ -26,8 +33,8 @@ type 'a t = {
 let create ?(capacity = 64) () =
   let rec log2_up n acc = if 1 lsl acc >= n then acc else log2_up n (acc + 1) in
   {
-    head = Atomic.make 0;
-    tail = Atomic.make 0;
+    head = Padded.atomic 0;
+    tail = Padded.atomic 0;
     buf = Atomic.make (buffer_create (max 4 (log2_up capacity 0)));
   }
 
@@ -46,8 +53,7 @@ let push q v =
     else b
   in
   buffer_set b t (Some v);
-  (* Atomic.set is a release store: the element is visible before the new
-     tail. *)
+  (* the SC tail store publishes the plain slot write above *)
   Atomic.set q.tail (t + 1)
 
 let pop q =

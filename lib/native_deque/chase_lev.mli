@@ -10,7 +10,15 @@
     the simulated algorithms to runnable code.
 
     Single owner: [push]/[pop] must be called from the owning domain only;
-    [steal] is safe from any domain. *)
+    [steal] is safe from any domain.
+
+    Slots are a plain ['a option array]. The owner's SC store of [tail]
+    publishes each slot write, and the SC store of the buffer pointer
+    publishes a grown buffer, so no slot needs an [Atomic] of its own.
+    Slots are never cleared, by [pop] or by [steal]: once a thief's head CAS
+    succeeds, the owner may wrap around and refill that physical slot, and a
+    clear issued after the CAS could erase the new element. A slot keeps its
+    last element reachable until it is overwritten. *)
 
 type 'a t
 

@@ -8,22 +8,47 @@
    conflict lock), the external-submission injector (mutex FIFO), and the
    parking lot (mutex + condition, entered only after a full failed hunt).
 
+   The per-task path touches no word another domain writes: each slot's
+   counters live in one padded record and two padded single-writer
+   atomics, and there is no pool-wide task counter.
+
    Correctness invariants, each of which an earlier version violated:
 
-   - Exceptions: a task that raises must still decrement [in_flight]
+   - Counting: a task is counted in its spawner's [spawned] before it is
+     pushed, and in its runner's [finished] after its body (and after
+     every other record of it). External [spawn]/[submit] and shutdown's
+     drain use the one shared pair [ext_spawned]/[ext_finished].
+     [in_flight] is a two-pass sum — every [finished] first, then every
+     [spawned]. The counters only grow and a task's spawn precedes its
+     finish, so finishes read <= finishes at the midpoint <= spawns at the
+     midpoint <= spawns read; equal sums prove the pool was quiescent
+     between the two passes. The sum is taken only after a failed hunt.
+
+   - Exceptions: a task that raises must still be counted as finished
      (otherwise [parallel_run] waits forever for a count that can never
-     reach zero) and must not kill its worker domain. The first failure is
+     balance) and must not kill its worker domain. The first failure is
      captured (with its backtrace) and re-raised at the join point.
 
    - Single-owner push: only the domain that owns a deque may push to it.
      Non-worker domains submit through [injector]; in debug mode every
      push asserts the caller is the recorded owner.
 
-   - [pending] counts cells sitting in some queue (deques + injector). It
-     is the parking predicate: a worker only sleeps while [pending = 0],
-     and every enqueue increments [pending] before checking for sleepers,
-     so the classic store-buffering argument (both sides are SC atomics)
-     rules out lost wakeups.
+   - Parking: a worker sleeps only while [pending] (the deque sizes plus
+     the injector size) is 0. Every push ends with an SC store (the deque
+     tail, or the injector size) before the pusher reads [sleepers], and
+     the parker increments [sleepers] before it reads the sizes, so the
+     store-buffering argument (both sides SC atomics) rules out lost
+     wakeups.
+
+   - Coordinator wake: the coordinator sets [coord_waiting] before it
+     tests its park predicate ([pending = 0] and not quiescent). Any
+     domain whose hunt fails while the flag is set re-tests quiescence
+     and, if it holds, clears the flag and broadcasts. Take the finish
+     that is last in the SC order: if it came before the flag was set,
+     the coordinator's predicate sees quiescence and it does not sleep;
+     if after, its domain sees the flag on its next failed hunt and its
+     quiescence test sees every finish. So when two domains finish the
+     last two tasks at once, at least one of them sees both finishes.
 
    - Shutdown first drains all queued work (it used to drop it), then
      stops and joins the workers; it is idempotent. *)
@@ -51,34 +76,6 @@ type worker_stats = {
   mutable parks : int;
 }
 
-let stats_create () =
-  {
-    spawns = 0;
-    tasks_run = 0;
-    tasks_stolen = 0;
-    injector_runs = 0;
-    steal_attempts = 0;
-    steals = 0;
-    take_empties = 0;
-    steal_empties = 0;
-    steal_aborts = 0;
-    parks = 0;
-  }
-
-let stats_copy st =
-  {
-    spawns = st.spawns;
-    tasks_run = st.tasks_run;
-    tasks_stolen = st.tasks_stolen;
-    injector_runs = st.injector_runs;
-    steal_attempts = st.steal_attempts;
-    steals = st.steals;
-    take_empties = st.take_empties;
-    steal_empties = st.steal_empties;
-    steal_aborts = st.steal_aborts;
-    parks = st.parks;
-  }
-
 let stats_equal a b =
   a.spawns = b.spawns && a.tasks_run = b.tasks_run
   && a.tasks_stolen = b.tasks_stolen
@@ -90,26 +87,70 @@ let stats_equal a b =
   && a.steal_aborts = b.steal_aborts
   && a.parks = b.parks
 
-(* [born] is a wallclock timestamp taken at spawn when telemetry is on
-   (0. when off), so completion can observe the spawn-to-finish latency.
-   [id]/[parent] are flight-recorder task identities (-1 when the recorder
+(* [id]/[parent] are flight-recorder task identities (-1 when the recorder
    is off): [parent] is the id of the task whose body called [spawn], which
    is what lets the reconstructor walk steal ancestries.
 
-   [arr_ns]/[inj_ns] are monotonic-ns stage stamps taken when attribution
-   is on (0 when off): arrival is when the producer first wanted the task
-   in (before any [submit] backpressure spin), inject is when the cell
-   actually entered a queue. The executor adds the dequeue and completion
-   stamps, yielding the three-stage split qwait (arrival to inject),
-   dispatch (inject to dequeue) and service (dequeue to completion). *)
-type cell = {
-  f : task;
-  id : int;
-  parent : int;
-  born : float;
-  arr_ns : int;
-  inj_ns : int;
+   [arr_ns]/[inj_ns] are monotonic-ns stamps (0 when neither telemetry nor
+   attribution is on). Inject is when the cell entered a queue, which is
+   also where the spawn-to-completion latency of [~telemetry] starts;
+   arrival is when the producer first wanted the task in (before any
+   [submit] backpressure spin). With attribution the executor adds the
+   dequeue and completion stamps, yielding the three-stage split qwait
+   (arrival to inject), dispatch (inject to dequeue) and service (dequeue
+   to completion). *)
+type cell = { f : task; id : int; parent : int; arr_ns : int; inj_ns : int }
+
+(* One slot's state, written only by the domain that holds the slot.
+   [spawned]/[finished] are the task counters of the termination and
+   [in_flight] protocol (see the head of this file); they double as the
+   slot's [spawns]/[tasks_run] statistics. The record itself is padded
+   ([Padded.copy]) so the per-task writes of two slots never share a
+   cache line. [current] is the id of the task being executed (-1 idle),
+   read by nested [spawn]s to name their parent. *)
+type slot = {
+  spawned : int Atomic.t;
+  finished : int Atomic.t;
+  mutable current : int;
+  mutable tasks_stolen : int;
+  mutable injector_runs : int;
+  mutable steal_attempts : int;
+  mutable steals : int;
+  mutable take_empties : int;
+  mutable steal_empties : int;
+  mutable steal_aborts : int;
+  mutable parks : int;
 }
+
+let slot_create () =
+  Padded.copy
+    {
+      spawned = Padded.atomic 0;
+      finished = Padded.atomic 0;
+      current = -1;
+      tasks_stolen = 0;
+      injector_runs = 0;
+      steal_attempts = 0;
+      steals = 0;
+      take_empties = 0;
+      steal_empties = 0;
+      steal_aborts = 0;
+      parks = 0;
+    }
+
+let stats_of_slot (s : slot) : worker_stats =
+  {
+    spawns = Atomic.get s.spawned;
+    tasks_run = Atomic.get s.finished;
+    tasks_stolen = s.tasks_stolen;
+    injector_runs = s.injector_runs;
+    steal_attempts = s.steal_attempts;
+    steals = s.steals;
+    take_empties = s.take_empties;
+    steal_empties = s.steal_empties;
+    steal_aborts = s.steal_aborts;
+    parks = s.parks;
+  }
 
 type deque = Cl of cell Chase_lev.t | The of cell The_queue.t
 
@@ -119,8 +160,9 @@ type t = {
   injector : cell Injector.t;
   injector_capacity : int;  (* soft bound enforced by [submit] only *)
   injector_drops : int Atomic.t;  (* submissions refused under Drop *)
-  in_flight : int Atomic.t;  (* spawned and not yet finished *)
-  pending : int Atomic.t;  (* enqueued and not yet dequeued *)
+  ext_spawned : int Atomic.t;  (* external spawn/submit, padded *)
+  ext_finished : int Atomic.t;  (* shutdown's drain, padded *)
+  coord_waiting : bool Atomic.t;  (* the coordinator is about to park *)
   stop : bool Atomic.t;
   error : (exn * Printexc.raw_backtrace) option Atomic.t;
   mutable domains : unit Domain.t list;
@@ -134,8 +176,8 @@ type t = {
   window_slots : int;
   lock : Mutex.t;
   cond : Condition.t;
-  sleepers : int Atomic.t;
-  stats : worker_stats array;
+  sleepers : int Atomic.t;  (* padded: read by every push *)
+  slots : slot array;
   latencies : Telemetry.Histogram.t array;  (* per worker, telemetry only *)
   (* per-slot stage histograms (ns) and rotating sojourn windows, written
      only by the owning domain (attribution only) *)
@@ -144,7 +186,6 @@ type t = {
   stage_service : Telemetry.Histogram.t array;
   sojourn_windows : Telemetry.Windowed.t array;
   recorder : Telemetry.Flight_recorder.t option;
-  current : int array;  (* per slot: id of the task being executed, -1 idle *)
   next_task_id : int Atomic.t;
   running : bool Atomic.t;  (* a parallel_run is in progress *)
   shut : bool Atomic.t;
@@ -152,24 +193,23 @@ type t = {
 
 let spin_rounds = 32
 
-let now () = Unix.gettimeofday ()
-
 module FR = Telemetry.Flight_recorder
 
 (* [arrived] backdates the arrival stamp for submissions that waited out
    a backpressure spin; 0 (the default) means "arrived right now". *)
 let make_cell pool ~parent ?(arrived = 0) f =
-  let born = if pool.telemetry then now () else 0. in
-  let inj_ns = if pool.attribution then Telemetry.Clock.now_ns () else 0 in
+  let inj_ns =
+    if pool.telemetry || pool.attribution then Telemetry.Clock.now_ns ()
+    else 0
+  in
   let arr_ns = if arrived > 0 then arrived else inj_ns in
   match pool.recorder with
-  | None -> { f; id = -1; parent = -1; born; arr_ns; inj_ns }
+  | None -> { f; id = -1; parent = -1; arr_ns; inj_ns }
   | Some _ ->
       {
         f;
         id = Atomic.fetch_and_add pool.next_task_id 1;
         parent;
-        born;
         arr_ns;
         inj_ns;
       }
@@ -187,17 +227,18 @@ let wake_all pool =
 
 (* The no-lost-wakeup argument: the parker publishes [sleepers] (atomic
    increment) before testing the predicate; the waker publishes the state
-   change ([pending], [stop], [in_flight]) before reading [sleepers].
-   Under OCaml's SC atomics at least one side observes the other, so
-   either the parker sees the new state and refuses to sleep, or the
-   waker sees the sleeper and broadcasts (and the broadcast cannot be
-   missed: the parker holds the mutex from its predicate test until
-   [Condition.wait] releases it). *)
+   change (a deque tail or the injector size, [stop], a [finished]
+   counter) before reading [sleepers]. Under OCaml's SC atomics at least
+   one side observes the other, so either the parker sees the new state
+   and refuses to sleep, or the waker sees the sleeper and broadcasts (and
+   the broadcast cannot be missed: the parker holds the mutex from its
+   predicate test until [Condition.wait] releases it). *)
 let park pool me ~should_sleep =
   Mutex.lock pool.lock;
   Atomic.incr pool.sleepers;
   if should_sleep () then begin
-    pool.stats.(me).parks <- pool.stats.(me).parks + 1;
+    let sl = pool.slots.(me) in
+    sl.parks <- sl.parks + 1;
     (match pool.recorder with
     | Some r -> FR.record r ~slot:me FR.Park ~task:FR.no_task ~arg:FR.no_arg
     | None -> ());
@@ -210,6 +251,46 @@ let park pool me ~should_sleep =
   end;
   Atomic.decr pool.sleepers;
   Mutex.unlock pool.lock
+
+(* ------------------------------------------------------------------ *)
+(* Counting                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Cells sitting in some queue. Each size is a racy snapshot that can read
+   one short only while an awake domain is taking that element. *)
+let pending pool =
+  let size = function Cl q -> Chase_lev.size q | The q -> The_queue.size q in
+  let n = ref (Injector.size pool.injector) in
+  for i = 0 to Array.length pool.deques - 1 do
+    n := !n + size pool.deques.(i)
+  done;
+  !n
+
+(* Tasks spawned and not yet finished: the two-pass sum of the head of
+   this file, all [finished] counters before any [spawned] counter. It
+   never reads below the true count at the midpoint of the two passes,
+   and 0 proves quiescence there. *)
+let in_flight pool =
+  let fin = ref (Atomic.get pool.ext_finished) in
+  for i = 0 to Array.length pool.slots - 1 do
+    fin := !fin + Atomic.get pool.slots.(i).finished
+  done;
+  let spw = ref (Atomic.get pool.ext_spawned) in
+  for i = 0 to Array.length pool.slots - 1 do
+    spw := !spw + Atomic.get pool.slots.(i).spawned
+  done;
+  !spw - !fin
+
+(* After a failed hunt: if the coordinator is parking and the pool is
+   quiescent, wake it. The flag is cleared by whoever broadcasts, so the
+   domains still hunting do not queue up on the mutex the waking
+   coordinator needs. *)
+let wake_coordinator_if_done pool =
+  if
+    Atomic.get pool.coord_waiting
+    && in_flight pool = 0
+    && Atomic.compare_and_set pool.coord_waiting true false
+  then wake_all pool
 
 (* ------------------------------------------------------------------ *)
 (* Deque dispatch                                                      *)
@@ -254,9 +335,13 @@ let steal_from pool me victim =
         match The_queue.steal_half q with
         | [] -> `Empty
         | c :: rest ->
-            (* the surplus stays queued (and counted in [pending]) — it
-               just moves to our own deque *)
-            List.iter (fun c -> push_own pool me c) rest;
+            (* the surplus moves to our own deque; between the two it is
+               in no queue, so a worker may have parked on [pending = 0]
+               meanwhile — wake it now that the cells are stealable *)
+            if rest <> [] then begin
+              List.iter (fun c -> push_own pool me c) rest;
+              wake_all pool
+            end;
             `Task c
       else The_queue.steal_detail q
 
@@ -267,39 +352,38 @@ let steal_from pool me victim =
 let record_error pool e bt =
   ignore (Atomic.compare_and_set pool.error None (Some (e, bt)))
 
-(* The decrement of [in_flight] is unconditional: a raising task counts
-   as finished (its failure is captured for the join point), so the run
-   can terminate and report instead of spinning forever. [current] is set
-   for the duration of the task body so that nested [spawn]s can name
-   their parent; only this slot's domain touches [current.(me)]. *)
+(* The [finished] bump is unconditional: a raising task counts as finished
+   (its failure is captured for the join point), so the run can terminate
+   and report instead of spinning forever. It is also the last write: a
+   domain that sees the pool quiescent sees every record of every task.
+   [current] is set for the duration of the task body so that nested
+   [spawn]s can name their parent. *)
 let exec_cell pool me cell =
-  pool.current.(me) <- cell.id;
-  let deq_ns = if cell.inj_ns > 0 then Telemetry.Clock.now_ns () else 0 in
+  let sl = pool.slots.(me) in
+  sl.current <- cell.id;
+  let deq_ns = if pool.attribution then Telemetry.Clock.now_ns () else 0 in
   (try cell.f ()
    with e ->
      let bt = Printexc.get_raw_backtrace () in
      record_error pool e bt);
-  pool.current.(me) <- -1;
-  let st = pool.stats.(me) in
-  st.tasks_run <- st.tasks_run + 1;
-  if deq_ns > 0 then begin
-    (* all four stamps read the same monotonic clock, and this slot's
+  sl.current <- -1;
+  if pool.attribution || pool.telemetry then begin
+    (* all the stamps read the same monotonic clock, and this slot's
        histograms/ring are single-writer, so no lock is needed *)
     let fin = Telemetry.Clock.now_ns () in
-    Telemetry.Histogram.observe pool.stage_qwait.(me)
-      (cell.inj_ns - cell.arr_ns);
-    Telemetry.Histogram.observe pool.stage_dispatch.(me)
-      (deq_ns - cell.inj_ns);
-    Telemetry.Histogram.observe pool.stage_service.(me) (fin - deq_ns);
-    Telemetry.Windowed.observe pool.sojourn_windows.(me) ~now:fin
-      (fin - cell.arr_ns)
+    if pool.attribution then begin
+      Telemetry.Histogram.observe pool.stage_qwait.(me)
+        (cell.inj_ns - cell.arr_ns);
+      Telemetry.Histogram.observe pool.stage_dispatch.(me)
+        (deq_ns - cell.inj_ns);
+      Telemetry.Histogram.observe pool.stage_service.(me) (fin - deq_ns);
+      Telemetry.Windowed.observe pool.sojourn_windows.(me) ~now:fin
+        (fin - cell.arr_ns)
+    end;
+    if pool.telemetry then
+      Telemetry.Histogram.observe pool.latencies.(me) (fin - cell.inj_ns)
   end;
-  if pool.telemetry && cell.born > 0. then
-    Telemetry.Histogram.observe pool.latencies.(me)
-      (int_of_float ((now () -. cell.born) *. 1e9));
-  if Atomic.fetch_and_add pool.in_flight (-1) = 1 then
-    (* the count reached zero: a parked coordinator is waiting for this *)
-    wake_all pool
+  Atomic.incr sl.finished
 
 let pick_victim pool me rng rr =
   let n = Array.length pool.deques in
@@ -323,17 +407,15 @@ let record_run pool me cell ~arg =
 (* One full hunt: own deque, then the injector, then one steal attempt
    per other deque. *)
 let find_task pool me rng rr =
-  let st = pool.stats.(me) in
+  let st = pool.slots.(me) in
   match pop_own pool me with
   | Some c ->
-      Atomic.decr pool.pending;
       record_run pool me c ~arg:FR.origin_pop;
       Some c
   | None -> (
       st.take_empties <- st.take_empties + 1;
       match Injector.pop pool.injector with
       | Some c ->
-          Atomic.decr pool.pending;
           st.injector_runs <- st.injector_runs + 1;
           record_run pool me c ~arg:FR.origin_inject;
           Some c
@@ -347,7 +429,6 @@ let find_task pool me rng rr =
             let victim = pick_victim pool me rng rr in
             (match steal_from pool me victim with
             | `Task c ->
-                Atomic.decr pool.pending;
                 st.steals <- st.steals + 1;
                 st.tasks_stolen <- st.tasks_stolen + 1;
                 (match pool.recorder with
@@ -386,12 +467,13 @@ let worker_loop pool me =
         spins := 0;
         exec_cell pool me cell
     | None ->
+        wake_coordinator_if_done pool;
         incr spins;
         if !spins < spin_rounds then Domain.cpu_relax ()
         else begin
           spins := 0;
           park pool me ~should_sleep:(fun () ->
-              (not (Atomic.get pool.stop)) && Atomic.get pool.pending = 0)
+              (not (Atomic.get pool.stop)) && pending pool = 0)
         end
   done
 
@@ -432,8 +514,9 @@ let create ?domains ?(backend = Chase_lev_deques) ?(policy = Random_victim)
       injector = Injector.create ();
       injector_capacity;
       injector_drops = Atomic.make 0;
-      in_flight = Atomic.make 0;
-      pending = Atomic.make 0;
+      ext_spawned = Padded.atomic 0;
+      ext_finished = Padded.atomic 0;
+      coord_waiting = Atomic.make false;
       stop = Atomic.make false;
       error = Atomic.make None;
       domains = [];
@@ -447,8 +530,8 @@ let create ?domains ?(backend = Chase_lev_deques) ?(policy = Random_victim)
       window_slots;
       lock = Mutex.create ();
       cond = Condition.create ();
-      sleepers = Atomic.make 0;
-      stats = Array.init (n + 1) (fun _ -> stats_create ());
+      sleepers = Padded.atomic 0;
+      slots = Array.init (n + 1) (fun _ -> slot_create ());
       latencies = Array.init (n + 1) (fun _ -> Telemetry.Histogram.create ());
       stage_qwait = Array.init (n + 1) (fun _ -> Telemetry.Histogram.create ());
       stage_dispatch =
@@ -462,7 +545,6 @@ let create ?domains ?(backend = Chase_lev_deques) ?(policy = Random_victim)
         (if flight then
            Some (FR.create ~capacity:flight_capacity ~slots:(n + 1) ())
          else None);
-      current = Array.make (n + 1) (-1);
       next_task_id = Atomic.make 0;
       running = Atomic.make false;
       shut = Atomic.make false;
@@ -472,14 +554,16 @@ let create ?domains ?(backend = Chase_lev_deques) ?(policy = Random_victim)
     List.init n (fun i -> Domain.spawn (fun () -> worker_loop pool (i + 1)));
   pool
 
+(* The spawn is counted before the push, so a task is never finished
+   before it is counted (the in-flight sum relies on it), and the push's
+   SC tail store comes before the [sleepers] read in [wake_all]. *)
 let spawn pool f =
   if Atomic.get pool.shut then invalid_arg "Pool.spawn: pool is shut down";
-  ignore (Atomic.fetch_and_add pool.in_flight 1);
-  ignore (Atomic.fetch_and_add pool.pending 1);
   (match Domain.DLS.get pool.worker_id with
   | Some me ->
-      let cell = make_cell pool ~parent:pool.current.(me) f in
-      pool.stats.(me).spawns <- pool.stats.(me).spawns + 1;
+      let sl = pool.slots.(me) in
+      let cell = make_cell pool ~parent:sl.current f in
+      Atomic.incr sl.spawned;
       (* The Spawn event lands before the push: the cell must be on record
          before a thief can emit the matching Steal/Run. *)
       (match pool.recorder with
@@ -490,6 +574,7 @@ let spawn pool f =
       (* not a pool domain: Chase-Lev push is single-owner, so external
          submissions go through the MPMC injector *)
       let cell = make_cell pool ~parent:(-1) f in
+      Atomic.incr pool.ext_spawned;
       (match pool.recorder with
       | Some r -> FR.record_external r FR.Inject ~task:cell.id ~arg:FR.no_arg
       | None -> ());
@@ -505,9 +590,8 @@ let spawn pool f =
    of racing callers — fine for backpressure, whose job is to stop an
    unbounded queue, not to enforce an exact high-water mark. *)
 let inject ?arrived pool f =
-  ignore (Atomic.fetch_and_add pool.in_flight 1);
-  ignore (Atomic.fetch_and_add pool.pending 1);
   let cell = make_cell pool ~parent:(-1) ?arrived f in
+  Atomic.incr pool.ext_spawned;
   (match pool.recorder with
   | Some r -> FR.record_external r FR.Inject ~task:cell.id ~arg:FR.no_arg
   | None -> ());
@@ -551,21 +635,27 @@ let parallel_run pool tasks =
   List.iter (fun f -> spawn pool f) tasks;
   let rng = Random.State.make [| 0xab1e |] in
   let rr = ref 0 in
-  let spins = ref 0 in
-  while Atomic.get pool.in_flight > 0 do
+  (* the in-flight sum is taken only after a failed hunt *)
+  let rec go spins =
     match find_task pool 0 rng rr with
     | Some cell ->
-        spins := 0;
-        exec_cell pool 0 cell
+        exec_cell pool 0 cell;
+        go 0
     | None ->
-        incr spins;
-        if !spins < spin_rounds then Domain.cpu_relax ()
-        else begin
-          spins := 0;
-          park pool 0 ~should_sleep:(fun () ->
-              Atomic.get pool.pending = 0 && Atomic.get pool.in_flight > 0)
-        end
-  done;
+        if in_flight pool > 0 then
+          if spins < spin_rounds then begin
+            Domain.cpu_relax ();
+            go (spins + 1)
+          end
+          else begin
+            Atomic.set pool.coord_waiting true;
+            park pool 0 ~should_sleep:(fun () ->
+                pending pool = 0 && in_flight pool > 0);
+            Atomic.set pool.coord_waiting false;
+            go 0
+          end
+  in
+  go 0;
   (* release the coordinator slot: spawns from this domain outside a
      parallel_run go through the injector like any other external caller *)
   Domain.DLS.set pool.worker_id None;
@@ -578,7 +668,6 @@ let parallel_run pool tasks =
 let drain_find pool rr =
   match Injector.pop pool.injector with
   | Some c ->
-      Atomic.decr pool.pending;
       (match pool.recorder with
       | Some r -> FR.record_external r FR.Run ~task:c.id ~arg:FR.origin_inject
       | None -> ());
@@ -592,7 +681,6 @@ let drain_find pool rr =
         rr := (!rr + 1) mod n;
         (match steal_from pool (-1) !rr with
         | `Task c ->
-            Atomic.decr pool.pending;
             (match pool.recorder with
             | Some r -> FR.record_external r FR.Run ~task:c.id ~arg:!rr
             | None -> ());
@@ -606,16 +694,19 @@ let shutdown pool =
     (* Drain before stopping: queued tasks are executed, not dropped. The
        caller helps from outside (injector + steals) while the workers
        keep running; [in_flight] reaching zero means every spawned task
-       has finished. *)
+       has finished. This loop is off the task path, so it sums the
+       counters on every turn. *)
     let rr = ref 0 in
-    while Atomic.get pool.in_flight > 0 do
+    while in_flight pool > 0 do
       match drain_find pool rr with
       | Some cell ->
           (try cell.f ()
            with e -> record_error pool e (Printexc.get_raw_backtrace ()));
-          if Atomic.fetch_and_add pool.in_flight (-1) = 1 then wake_all pool
+          Atomic.incr pool.ext_finished
       | None -> Domain.cpu_relax ()
     done;
+    (* the drain may have run the last task of a concurrent parallel_run *)
+    wake_coordinator_if_done pool;
     Atomic.set pool.stop true;
     wake_all pool;
     List.iter Domain.join pool.domains;
@@ -637,10 +728,10 @@ let injector_drops pool = Atomic.get pool.injector_drops
    tolerance statement. *)
 let scrape_slot pool i =
   let rec go prev tries =
-    let cur = stats_copy pool.stats.(i) in
+    let cur = stats_of_slot pool.slots.(i) in
     if tries = 0 || stats_equal prev cur then cur else go cur (tries - 1)
   in
-  go (stats_copy pool.stats.(i)) 3
+  go (stats_of_slot pool.slots.(i)) 3
 
 type snapshot = {
   slot_stats : worker_stats array;
@@ -680,26 +771,26 @@ let merged_windows pool =
 
 let scrape pool =
   {
-    slot_stats = Array.init (Array.length pool.stats) (scrape_slot pool);
+    slot_stats = Array.init (Array.length pool.slots) (scrape_slot pool);
     slot_latencies = copy_hists pool.latencies;
     slot_qwait = copy_hists pool.stage_qwait;
     slot_dispatch = copy_hists pool.stage_dispatch;
     slot_service = copy_hists pool.stage_service;
     snap_windows = merged_windows pool;
-    snap_pending = Atomic.get pool.pending;
-    snap_in_flight = Atomic.get pool.in_flight;
+    snap_pending = pending pool;
+    snap_in_flight = in_flight pool;
     snap_sleepers = Atomic.get pool.sleepers;
     snap_injector = Injector.size pool.injector;
     snap_injector_drops = Atomic.get pool.injector_drops;
   }
 
 let worker_stats pool =
-  Array.init (Array.length pool.stats) (scrape_slot pool)
+  Array.init (Array.length pool.slots) (scrape_slot pool)
 
 let flight pool = pool.recorder
 
 let tasks_run pool =
-  Array.fold_left (fun acc st -> acc + st.tasks_run) 0 pool.stats
+  Array.fold_left (fun acc sl -> acc + Atomic.get sl.finished) 0 pool.slots
 
 let latency pool =
   let h = Telemetry.Histogram.create () in
@@ -720,7 +811,8 @@ let windowed_sojourn pool = merged_windows pool
 
 let fold_into_sink pool sink =
   Array.iter
-    (fun st ->
+    (fun sl ->
+      let st = stats_of_slot sl in
       sink.Telemetry.Sink.puts <- sink.Telemetry.Sink.puts + st.spawns;
       sink.Telemetry.Sink.tasks_run <-
         sink.Telemetry.Sink.tasks_run + st.tasks_run;
@@ -736,7 +828,7 @@ let fold_into_sink pool sink =
       sink.Telemetry.Sink.steal_aborts <-
         sink.Telemetry.Sink.steal_aborts + st.steal_aborts;
       sink.Telemetry.Sink.parks <- sink.Telemetry.Sink.parks + st.parks)
-    pool.stats
+    pool.slots
 
 let fib pool n =
   let acc = Atomic.make 0 in

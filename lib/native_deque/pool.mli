@@ -135,8 +135,12 @@ type snapshot = {
       (** per-slot dequeue-to-completion ns (empty unless [~attribution]) *)
   snap_windows : Telemetry.Windowed.t;
       (** merged rotating sojourn windows (empty unless [~attribution]) *)
-  snap_pending : int;  (** cells enqueued and not yet dequeued *)
-  snap_in_flight : int;  (** tasks spawned and not yet finished *)
+  snap_pending : int;
+      (** cells enqueued and not yet dequeued: the deque sizes plus the
+          injector size *)
+  snap_in_flight : int;
+      (** tasks spawned and not yet finished: the per-slot counters'
+          two-pass sum *)
   snap_sleepers : int;  (** workers parked at the instant of the scrape *)
   snap_injector : int;  (** cells waiting in the external-submission FIFO *)
   snap_injector_drops : int;  (** {!submit} refusals under [Drop], ever *)
@@ -156,9 +160,13 @@ val scrape : t -> snapshot
     single word written by one domain, so a field read is never torn,
     and all counters are monotone. No consistency holds {e between}
     slots — slot A's copy and slot B's copy are taken at different
-    instants. The scalar gauges ([snap_pending], [snap_in_flight],
-    [snap_sleepers], [snap_injector]) are independent atomic reads, each
-    exact at its own instant. *)
+    instants. [snap_sleepers] and [snap_injector] are single atomic
+    reads, each exact at its own instant. [snap_pending] sums one racy
+    size per queue; it can read short only by cells a running domain is
+    taking at that moment. [snap_in_flight] reads every slot's finished
+    counter and then every slot's spawned counter; it is never below the
+    true count at the instant between the two passes, and a reading of 0
+    proves the pool was quiescent at that instant. *)
 
 val flight : t -> Telemetry.Flight_recorder.t option
 (** The flight recorder attached at creation ([?flight:true]), for

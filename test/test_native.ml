@@ -540,6 +540,112 @@ let test_pool_submit_backpressure () =
     (Atomic.get ran);
   Pool.shutdown pool
 
+(* Coordinator park and wake. The root task, run by the coordinator, hands
+   a sleeper to the worker and waits until the worker has stolen it. The
+   sleeper sleeps, so the coordinator runs dry and parks; the sleeper then
+   spawns a small tree (whose pushes wake the coordinator) and sleeps again,
+   so the coordinator parks a second time and only the worker's
+   quiescence check after the last finish can wake it. *)
+let test_pool_coordinator_wake () =
+  let pool = Pool.create ~domains:1 () in
+  let rec tree k () =
+    if k > 0 then begin
+      Pool.spawn pool (tree (k - 1));
+      Pool.spawn pool (tree (k - 1))
+    end
+  in
+  let depth = 4 in
+  let started = Atomic.make false in
+  let sleeper_domain = Atomic.make (-1) in
+  let sleeper () =
+    Atomic.set sleeper_domain (Domain.self () :> int);
+    Atomic.set started true;
+    Unix.sleepf 0.05;
+    Pool.spawn pool (tree depth);
+    Unix.sleepf 0.05
+  in
+  let root () =
+    Pool.spawn pool sleeper;
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (Atomic.get started)) && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done
+  in
+  let before = Pool.tasks_run pool in
+  let parks0 = (Pool.worker_stats pool).(0).Pool.parks in
+  Pool.parallel_run pool [ root ];
+  Alcotest.(check bool) "a worker stole the sleeper" true
+    (Atomic.get sleeper_domain <> (Domain.self () :> int));
+  checki "root + sleeper + tree all ran, once each"
+    (2 + (1 lsl (depth + 1)) - 1)
+    (Pool.tasks_run pool - before);
+  Alcotest.(check bool)
+    "the coordinator parked while the sleeper slept" true
+    ((Pool.worker_stats pool).(0).Pool.parks > parks0);
+  let snap = Pool.scrape pool in
+  checki "nothing in flight after the run" 0 snap.Pool.snap_in_flight;
+  Pool.shutdown pool
+
+(* Termination stress: many short runs, where the last finishes race the
+   coordinator's quiescence test and its park. Every run must return with
+   the exact task count and leave nothing in flight or pending; some runs
+   have raising leaves, which still count as finished. *)
+let test_pool_termination_stress () =
+  let rec fib_closed k =
+    if k < 2 then k else fib_closed (k - 1) + fib_closed (k - 2)
+  in
+  List.iter
+    (fun domains ->
+      let pool = Pool.create ~domains () in
+      for i = 1 to 1000 do
+        let n = 4 + (i mod 5) in
+        let raising = i mod 7 = 0 in
+        let rec task k () =
+          if k < 2 then begin
+            if raising && k = 1 then raise (Boom k)
+          end
+          else begin
+            Pool.spawn pool (task (k - 1));
+            Pool.spawn pool (task (k - 2))
+          end
+        in
+        let before = Pool.tasks_run pool in
+        (match Pool.parallel_run pool [ task n ] with
+        | () -> if raising then Alcotest.fail "expected a leaf to raise"
+        | exception Boom _ ->
+            if not raising then Alcotest.fail "unexpected raise");
+        let want = (2 * fib_closed (n + 1)) - 1 in
+        let ran = Pool.tasks_run pool - before in
+        if ran <> want then
+          Alcotest.failf "domains=%d run %d: %d tasks run, want %d" domains i
+            ran want;
+        let snap = Pool.scrape pool in
+        if snap.Pool.snap_in_flight <> 0 || snap.Pool.snap_pending <> 0 then
+          Alcotest.failf "domains=%d run %d: in flight %d, pending %d" domains
+            i snap.Pool.snap_in_flight snap.Pool.snap_pending
+      done;
+      Pool.shutdown pool)
+    [ 1; 3 ]
+
+(* The padding helper: a padded atomic spans at least 16 words and its
+   field 0 is an ordinary atomic cell. *)
+let test_padded_atomic () =
+  let a = Padded.atomic 7 in
+  Alcotest.(check bool) "at least 16 words" true (Obj.size (Obj.repr a) >= 16);
+  checki "get" 7 (Atomic.get a);
+  Atomic.set a 8;
+  checki "set" 8 (Atomic.get a);
+  Alcotest.(check bool) "cas from the current value" true
+    (Atomic.compare_and_set a 8 9);
+  Alcotest.(check bool) "cas from a stale value" false
+    (Atomic.compare_and_set a 8 10);
+  checki "after cas" 9 (Atomic.get a);
+  checki "fetch_and_add" 9 (Atomic.fetch_and_add a 1);
+  checki "after fetch_and_add" 10 (Atomic.get a);
+  match Padded.copy 3 with
+  | _ -> Alcotest.fail "an immediate has no block to pad"
+  | exception Invalid_argument _ -> ()
+
 (* qcheck: random sequential op sequences vs a reference deque *)
 let cl_matches_reference =
   QCheck.Test.make ~name:"native chase-lev matches reference deque (sequential)"
@@ -624,5 +730,11 @@ let () =
             test_pool_stage_attribution;
           Alcotest.test_case "bounded injector backpressure" `Quick
             test_pool_submit_backpressure;
+          Alcotest.test_case "coordinator park and wake" `Quick
+            test_pool_coordinator_wake;
+          Alcotest.test_case "termination stress" `Slow
+            test_pool_termination_stress;
         ] );
+      ( "padded",
+        [ Alcotest.test_case "padded atomic" `Quick test_padded_atomic ] );
     ]
