@@ -536,7 +536,7 @@ let measure_memo_lookup ~iters () =
     wall (fun () ->
         for _ = 1 to iters do
           let fp = Tso.Machine.fingerprint m in
-          if Tso.Explore.Internal.memo_tbl_check tbl fp ~depth_rem:4 ~preempt_rem:1
+          if Tso.Memo_store.tbl_check tbl fp ~depth_rem:4 ~preempt_rem:1
           then incr hits
         done)
   in

@@ -101,8 +101,10 @@ val submit : ?policy:backpressure -> t -> (unit -> unit) -> bool
 
 val shutdown : t -> unit
 (** Drain all queued work (executing it, not dropping it), then stop and
-    join the worker domains. Idempotent: later calls return immediately.
-    The pool cannot be reused afterwards ({!spawn}/{!parallel_run} raise
+    join the worker domains. Tasks that run during the drain may still
+    {!spawn}; their children run before [shutdown] returns. Idempotent:
+    later calls return immediately. The pool cannot be reused afterwards
+    ({!spawn}/{!submit}/{!parallel_run} from outside a task raise
     [Invalid_argument]). Re-raises the first captured task exception, if
     any run left one behind. *)
 

@@ -347,6 +347,27 @@ let test_pool_shutdown_drains () =
   | () -> Alcotest.fail "spawn after shutdown should raise"
   | exception Invalid_argument _ -> ())
 
+let test_pool_shutdown_drains_spawns () =
+  (* queued tasks that spawn while shutdown drains them: every child is
+     accepted and runs before shutdown returns *)
+  let pool = Pool.create ~domains:1 () in
+  let ran = Atomic.make 0 in
+  for _ = 1 to 100 do
+    Pool.spawn pool (fun () ->
+        Atomic.incr ran;
+        Pool.spawn pool (fun () -> Atomic.incr ran))
+  done;
+  Pool.shutdown pool;
+  checki "parents and children all ran" 200 (Atomic.get ran);
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s after shutdown should raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "spawn" (fun () -> Pool.spawn pool ignore);
+  refused "submit" (fun () -> ignore (Pool.submit pool ignore));
+  refused "parallel_run" (fun () -> Pool.parallel_run pool [ ignore ])
+
 let test_pool_the_backend_steal_half () =
   let pool =
     Pool.create ~domains:3 ~backend:Pool.The_deques ~steal_half:true ()
@@ -716,6 +737,8 @@ let () =
             test_pool_external_spawns;
           Alcotest.test_case "shutdown drains and is idempotent" `Quick
             test_pool_shutdown_drains;
+          Alcotest.test_case "shutdown runs spawns from drained tasks" `Quick
+            test_pool_shutdown_drains_spawns;
           Alcotest.test_case "THE backend with steal-half" `Slow
             test_pool_the_backend_steal_half;
           Alcotest.test_case "round-robin victims" `Quick
