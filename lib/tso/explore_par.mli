@@ -8,8 +8,11 @@
     forced steps in place) and its children are pushed on the expanding
     domain's deque; idle domains steal round-robin. The root carries
     [ceil(log2 (4 * jobs))] levels of split budget, so the tree fans out
-    to at least ~4 subtrees per domain before leaves are explored with the
-    {e same} sequential core as {!Explore.search} ([Explore.Internal]).
+    to at least ~4 subtrees per domain. Splits and leaves both run the
+    {e same} node-expansion core as {!Explore.search}
+    ([Explore.Internal]): a split walks forced steps and classifies the
+    first branch node's children with the sequential child loop, and a
+    leaf is a sequential search of its subtree.
 
     Determinism: every outcome is recorded at its position in the task
     tree, and the merge is a lexicographic walk of that tree — independent
@@ -22,8 +25,8 @@
     [max_runs]. Merged failures keep {!Explore.stats.failures}'s
     orientation contract (sighting order, root-first choice sequences).
 
-    Memoization ([memo = true]) uses a single visited-state cache shared by
-    all domains (sharded by fingerprint hash, one mutex per shard), so
+    Memoization ([memo = true]) uses a single file-less {!Memo_store.t}
+    shared by all domains (sharded by fingerprint, one mutex per shard), so
     interleavings that converge across subtree boundaries are still pruned.
     Verdicts are unchanged, but [runs]/[memo_hits] become schedule-dependent
     — whichever domain reaches a state first records it — so memoized
@@ -34,8 +37,8 @@
     search ran to completion.
 
     Sleep-set POR ([por = true]) travels with the frontier: each subtree
-    task carries the sleep set it inherited, and frontier expansion applies
-    the same skip/filter/insert rules as the sequential reduction. With no
+    task carries the sleep set it inherited, and frontier expansion runs
+    the sequential child loop, with its skip/filter/insert rules. With no
     preemption bound the parallel POR statistics stay byte-identical to the
     sequential POR search. Under a CHESS bound the sequential rule inserts
     a sibling into the sleep set only after seeing its subtree's outcome,
